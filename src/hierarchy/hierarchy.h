@@ -14,6 +14,7 @@
 #include "trace/trace.h"
 #include "trace/types.h"
 #include "ulc/writeback.h"
+#include "util/flat_hash.h"
 
 namespace ulc {
 
@@ -171,9 +172,58 @@ class MultiLevelScheme {
     if (journal_ != nullptr) journal_->record_loss(block, from, size);
   }
 
+  // ---- Dirty data (PROTOCOL.md §7) ----
+  //
+  // The dirty map belongs to the base class: every scheme reaches it only
+  // through the four transitions below, so a dirty block can leave the
+  // hierarchy by exactly two doors — a narrated, journaled write-back or a
+  // reported loss. `stats` is the scheme's own counter block.
+
+  // A write the scheme cached: the block is dirty with its written size.
+  void mark_dirty(BlockId block, SizeUnits size) { dirty_.put(block, size); }
+
+  // A ULC write: cached, it marks the block dirty; left uncached, it goes
+  // straight through to disk. The freshest data is on disk then, so any
+  // older dirty marking (a stale copy another client parked lower down) is
+  // superseded — writing it back later would clobber this newer version.
+  void record_write(const Request& request, bool cached, HierarchyStats& stats) {
+    if (cached) {
+      mark_dirty(request.block, request.size);
+      return;
+    }
+    dirty_.erase(request.block);
+    ++stats.writebacks;
+    journal_write_back(request.block, 0, request.size);
+  }
+
+  // Write-back choke point: drops the dirty marking only after the
+  // write-back is narrated and journaled.
+  bool write_back_if_dirty(BlockId block, std::size_t from, HierarchyStats& stats) {
+    const SizeUnits* size = dirty_.find(block);
+    if (size == nullptr) return false;
+    const SizeUnits bytes = *size;
+    dirty_.erase(block);
+    ++stats.writebacks;
+    journal_write_back(block, from, bytes);
+    return true;
+  }
+
+  // A resync destroyed the copy at `level`: any dirty data in it is lost,
+  // not written back.
+  void record_dirty_loss(BlockId block, std::size_t level) {
+    const SizeUnits* size = dirty_.find(block);
+    if (size == nullptr) return;
+    journal_record_loss(block, level, *size);
+    dirty_.erase(block);
+  }
+
+  // The dirty map's hash group, for the schemes' prefetch() stages.
+  void prefetch_dirty(BlockId block) const { dirty_.prefetch(block); }
+
  private:
   std::vector<AuditEvent>* audit_sink_ = nullptr;
   WritebackSink* journal_ = nullptr;
+  FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size
 };
 
 using SchemePtr = std::unique_ptr<MultiLevelScheme>;
@@ -202,7 +252,7 @@ SchemePtr make_mq_hierarchy(std::size_t client_cap, std::size_t server_cap,
                             std::size_t n_clients, std::size_t queue_count = 8,
                             std::uint64_t life_time = 0);
 
-// Same structure with any server policy (LIRS/ARC/2Q/...): the whole
+// Same structure with any server policy (LIRS, for one): the whole
 // "re-design the second level" family behind one factory.
 SchemePtr make_policy_hierarchy(std::size_t client_cap, PolicyPtr server_policy,
                                 std::size_t n_clients);

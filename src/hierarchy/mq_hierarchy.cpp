@@ -1,7 +1,7 @@
 // LRU at the client(s) + a pluggable policy at the shared server — the
 // "re-design the low level replacement" approach. MQ (Zhou et al. 2001) is
-// the paper's Figure-7 representative; LIRS, ARC and 2Q servers are
-// provided as extensions of the same family.
+// the paper's Figure-7 representative; a LIRS server is provided as an
+// extension of the same family.
 //
 // The server policy runs over the stream of client misses (the environment
 // these policies were designed for); caching is inclusive and there are no
@@ -10,7 +10,6 @@
 
 #include "hierarchy/hierarchy.h"
 #include "replacement/cache_policy.h"
-#include "util/flat_hash.h"
 #include "util/ensure.h"
 
 namespace ulc {
@@ -36,7 +35,7 @@ class PolicyServerScheme final : public MultiLevelScheme {
     AccessContext ctx;
     ctx.size = request.size;
 
-    if (request.op == Op::kWrite) dirty_.put(b, request.size);
+    if (request.op == Op::kWrite) mark_dirty(b, request.size);
     if (client.touch(b, ctx)) {
       stats_.count_hit(0, request.size);
       return;
@@ -57,7 +56,7 @@ class PolicyServerScheme final : public MultiLevelScheme {
     ev.for_each([&](BlockId victim) {
       audit_emit(AuditEvent::Kind::kEvict, victim, 0, kAuditNoLevel,
                  request.client);
-      write_back_if_dirty(victim, 0);
+      write_back_if_dirty(victim, 0, stats_);
     });
     if (ev.admitted) {
       audit_emit(AuditEvent::Kind::kPlace, b, kAuditNoLevel, 0, request.client,
@@ -65,7 +64,7 @@ class PolicyServerScheme final : public MultiLevelScheme {
     } else {
       // Uncacheable write (block bigger than the client cache): straight
       // through to disk.
-      write_back_if_dirty(b, 0);
+      write_back_if_dirty(b, 0, stats_);
     }
   }
 
@@ -73,7 +72,7 @@ class PolicyServerScheme final : public MultiLevelScheme {
     if (request.client >= clients_.size()) return;
     clients_[request.client]->prefetch(request.block);
     server_->prefetch(request.block);
-    dirty_.prefetch(request.block);
+    prefetch_dirty(request.block);
   }
 
   void access_batch(std::span<const Request> batch) override {
@@ -120,21 +119,8 @@ class PolicyServerScheme final : public MultiLevelScheme {
   }
 
  private:
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
-  }
-
   std::vector<PolicyPtr> clients_;
   PolicyPtr server_;
-  FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size
   HierarchyStats stats_;
   std::string name_;
   bool auditable_;

@@ -10,7 +10,6 @@
 
 #include "hierarchy/hierarchy.h"
 #include "order/segmented_list.h"
-#include "util/flat_hash.h"
 
 namespace ulc {
 
@@ -30,7 +29,7 @@ class ReloadUniLruScheme final : public MultiLevelScheme {
     } else {
       stats_.count_miss(request.size);
     }
-    if (request.op == Op::kWrite) dirty_.put(request.block, request.size);
+    if (request.op == Op::kWrite) mark_dirty(request.block, request.size);
     // Boundary slides become disk reloads into the lower level rather than
     // network demotions. Note the catch for dirty blocks: a reload fetches
     // the *stale* on-disk copy, so dirty blocks must be written back before
@@ -41,10 +40,10 @@ class ReloadUniLruScheme final : public MultiLevelScheme {
       emit_events(request);
     } else {
       collect_slides();
-      for (const Slide& s : slides_) write_back_if_dirty(s.key, s.from);
+      for (const Slide& s : slides_) write_back_if_dirty(s.key, s.from, stats_);
     }
     for (BlockId victim : result_.evicted)
-      write_back_if_dirty(victim, list_.segment_count() - 1);
+      write_back_if_dirty(victim, list_.segment_count() - 1, stats_);
   }
 
   const HierarchyStats& stats() const override { return stats_; }
@@ -113,29 +112,16 @@ class ReloadUniLruScheme final : public MultiLevelScheme {
                request.size);
     collect_slides();
     for (const Slide& s : slides_) {
-      write_back_if_dirty(s.key, s.from);
+      write_back_if_dirty(s.key, s.from, stats_);
       audit_emit(AuditEvent::Kind::kReload, s.key, s.from, s.to);
     }
     for (BlockId victim : result_.evicted)
       audit_emit(AuditEvent::Kind::kEvict, victim, list_.segment_count() - 1);
   }
 
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
-  }
-
   SegmentedList list_;
   SegmentedList::AccessResult result_;
   std::vector<Slide> slides_;
-  FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size
   HierarchyStats stats_;
 };
 

@@ -52,7 +52,7 @@ class UniLruScheme final : public MultiLevelScheme {
     } else {
       stats_.count_miss(request.size);
     }
-    if (request.op == Op::kWrite) dirty_.put(request.block, request.size);
+    if (request.op == Op::kWrite) mark_dirty(request.block, request.size);
     // Each boundary slide is one demotion transfer; the final evictions are
     // silent drops — unless a block is dirty, in which case it must be
     // written back to disk first.
@@ -60,13 +60,13 @@ class UniLruScheme final : public MultiLevelScheme {
       stats_.count_demote(c.from, c.size);
     if (auditing()) emit_events(request);
     for (BlockId victim : result_.evicted)
-      write_back_if_dirty(victim, list_.segment_count() - 1);
+      write_back_if_dirty(victim, list_.segment_count() - 1, stats_);
   }
 
   // Only the dirty map exposes a prefetchable index; the segmented list's
   // node map (std::unordered_map) gives no stable bucket address to pull.
   void prefetch(const Request& request) const override {
-    dirty_.prefetch(request.block);
+    prefetch_dirty(request.block);
   }
 
   void access_batch(std::span<const Request> batch) override {
@@ -155,22 +155,9 @@ class UniLruScheme final : public MultiLevelScheme {
       audit_emit(AuditEvent::Kind::kEvict, victim, list_.segment_count() - 1);
   }
 
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
-  }
-
   SegmentedList list_;
   SegmentedList::AccessResult result_;
   std::vector<Slide> slides_;
-  FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size
   HierarchyStats stats_;
 };
 
@@ -278,7 +265,7 @@ class UniLruMultiScheme final : public MultiLevelScheme {
     ctx.size = request.size;
     size_of_.put(b, request.size);  // id-stable; needed when b is demoted
 
-    if (request.op == Op::kWrite) dirty_.put(b, request.size);
+    if (request.op == Op::kWrite) mark_dirty(b, request.size);
     if (client.touch(b, ctx)) {
       stats_.count_hit(0, request.size);
       return;
@@ -296,7 +283,7 @@ class UniLruMultiScheme final : public MultiLevelScheme {
     } else {
       // Uncacheable write: larger than the whole client budget, so the dirty
       // data goes straight to disk.
-      write_back_if_dirty(b, 0);
+      write_back_if_dirty(b, 0, stats_);
     }
     // DEMOTE each client victim into the shared server cache, in eviction
     // order. With sized blocks one admission can push several victims out.
@@ -363,33 +350,20 @@ class UniLruMultiScheme final : public MultiLevelScheme {
       } else {
         audit_emit(AuditEvent::Kind::kEvict, v, 1);
       }
-      write_back_if_dirty(v, v == victim ? 0 : 1);
+      write_back_if_dirty(v, v == victim ? 0 : 1, stats_);
     }
     if (!sev.admitted) {
       audit_emit(AuditEvent::Kind::kCharge, victim, 0, 1, owner,
                  /*through_bottom=*/false, victim_size);
       audit_emit(AuditEvent::Kind::kEvict, victim, 0, kAuditNoLevel, owner,
                  /*through_bottom=*/true);
-      write_back_if_dirty(victim, 0);
+      write_back_if_dirty(victim, 0, stats_);
     }
-  }
-
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
   }
 
   std::vector<PolicyPtr> clients_;
   ServerLru server_;
   UniLruInsertion insertion_;
-  FlatMap<BlockId, SizeUnits> dirty_;    // dirty block -> written size
   FlatMap<BlockId, SizeUnits> size_of_;  // id-stable block footprints
   std::vector<BlockId> server_victims_;
   HierarchyStats stats_;

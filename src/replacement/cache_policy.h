@@ -2,8 +2,8 @@
 //
 // These serve three roles in the reproduction: building blocks of the
 // independent-LRU baseline (one policy instance per level), the MQ server
-// cache of Figure 7 (Zhou et al. 2001), and reference policies for tests
-// (OPT dominance, RANDOM's size-proportional hit rate on uniform traces).
+// cache of Figure 7 (Zhou et al. 2001) and its LIRS sibling, and the OPT
+// reference the other policies are checked against.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,7 @@
 
 namespace ulc {
 
-// Per-access side information. LRU/FIFO/RANDOM ignore it; OPT requires
+// Per-access side information. LRU/MQ/LIRS ignore it; OPT requires
 // next_use (the trace position of the next reference to this block, or
 // kNever) — supplied by the offline preprocessing in measures/next_use.h.
 // `size` is the incoming block's footprint in SizeUnits; capacity is a
@@ -105,8 +105,6 @@ class CachePolicy {
 using PolicyPtr = std::unique_ptr<CachePolicy>;
 
 PolicyPtr make_lru(std::size_t capacity);
-PolicyPtr make_fifo(std::size_t capacity);
-PolicyPtr make_random(std::size_t capacity, std::uint64_t seed = 1);
 // OPT (Belady): evicts the block whose next use is farthest in the future.
 // Requires AccessContext::next_use on every touch/insert.
 PolicyPtr make_opt(std::size_t capacity);
@@ -121,18 +119,6 @@ struct MqConfig {
   std::size_t ghost_capacity = 0;  // Qout entries; 0 -> 4 * capacity
 };
 PolicyPtr make_mq(const MqConfig& config);
-
-struct TwoQConfig {
-  std::size_t capacity = 0;
-  // 2Q paper defaults: A1in ~25% of the cache, A1out remembers ~50% worth
-  // of evicted identities.
-  double kin_fraction = 0.25;
-  double kout_fraction = 0.5;
-};
-PolicyPtr make_two_q(const TwoQConfig& config);
-
-// ARC (Megiddo & Modha 2003): self-tuning recency/frequency split.
-PolicyPtr make_arc(std::size_t capacity);
 
 struct LirsConfig {
   std::size_t capacity = 0;

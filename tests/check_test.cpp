@@ -213,8 +213,8 @@ TEST(CheckedHierarchy, UnsupportedSchemesFallBackToStatsChecks) {
   // fallback; they must still run clean and transparently.
   expect_clean(make_ulc({32, 48}, 8), make_ulc({32, 48}, 8), t,
                /*expect_event_checks=*/false);
-  expect_clean(make_policy_hierarchy(16, make_arc(64), 1),
-               make_policy_hierarchy(16, make_arc(64), 1), t,
+  expect_clean(make_policy_hierarchy(16, make_lirs(LirsConfig{64}), 1),
+               make_policy_hierarchy(16, make_lirs(LirsConfig{64}), 1), t,
                /*expect_event_checks=*/false);
 }
 

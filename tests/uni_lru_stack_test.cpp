@@ -5,6 +5,10 @@
 namespace ulc {
 namespace {
 
+// DESIGN.md §8 quotes the per-block footprint; keep the two in step.
+static_assert(sizeof(UniLruStack::Node) == 48,
+              "UniLruStack::Node changed size: update DESIGN.md §8");
+
 TEST(UniLruStack, PushAndFind) {
   UniLruStack s(2);
   auto* a = s.push_top(1, 0);
