@@ -252,11 +252,8 @@ void CheckedHierarchy::replay_events() {
       case AuditEvent::Kind::kLost:
         // A resync discovered the copy is gone. Not an eviction: exempt
         // from the bottom-evict-only rule (the copy was found missing, it
-        // did not leave through the protocol). The dirty data is lost with
-        // the copy — that is what the journal's loss record is for — so the
-        // durability shadow forgets it rather than demanding a write-back.
-        remove_copy(e.block, e.from, e.owner, "lost");
-        dirty_shadow_.erase(e.block);
+        // did not leave through the protocol).
+        forget_lost_copy(e);
         break;
       case AuditEvent::Kind::kCharge:
         // A charged transfer moves no copy; its byte weight is narrated.
@@ -302,10 +299,19 @@ void CheckedHierarchy::replay_resync_events() {
     if (e.kind != AuditEvent::Kind::kLost)
       fail(ViolationKind::kSequencing,
            "directory resync may narrate only kLost events");
-    remove_copy(e.block, e.from, e.owner, "lost");
-    dirty_shadow_.erase(e.block);
+    forget_lost_copy(e);
   }
   events_.clear();
+}
+
+void CheckedHierarchy::forget_lost_copy(const AuditEvent& e) {
+  remove_copy(e.block, e.from, e.owner, "lost");
+  // With the last copy gone the dirty data is lost — that is what the
+  // journal's loss record is for — so the durability shadow forgets it
+  // rather than demanding a write-back. While another copy survives (a
+  // second client's cache, a shared level) the block is still dirty and
+  // that copy's exit must write it back.
+  if (copies_.find(e.block) == copies_.end()) dirty_shadow_.erase(e.block);
 }
 
 bool CheckedHierarchy::resync_drop(ClientId client, BlockId block,

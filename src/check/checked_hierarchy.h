@@ -168,6 +168,8 @@ class CheckedHierarchy final : public MultiLevelScheme {
   void check_event_shape(const AuditEvent& e) const;
   void replay_events();
   void replay_resync_events();
+  // kLost replay: drops the copy; the dirty shadow goes with the last copy.
+  void forget_lost_copy(const AuditEvent& e);
   void check_stats_delta(const std::vector<std::size_t>& pre_visible);
   void sweep();
   void check_stack(const UniLruStack& stack, std::size_t index) const;

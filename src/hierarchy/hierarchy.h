@@ -208,11 +208,14 @@ class MultiLevelScheme {
     return true;
   }
 
-  // A resync destroyed the copy at `level`: any dirty data in it is lost,
-  // not written back.
+  // A resync destroyed the copy at `level` (the scheme has already dropped
+  // it). The marking is per block, not per copy, so the dirty data is lost
+  // — measured as loss, not written back — only with the last copy. While
+  // another client's cache or a shared level still holds the block, the
+  // marking stays and that copy's exit writes it back.
   void record_dirty_loss(BlockId block, std::size_t level) {
     const SizeUnits* size = dirty_.find(block);
-    if (size == nullptr) return;
+    if (size == nullptr || cached_anywhere(block)) return;
     journal_record_loss(block, level, *size);
     dirty_.erase(block);
   }
@@ -221,6 +224,14 @@ class MultiLevelScheme {
   void prefetch_dirty(BlockId block) const { dirty_.prefetch(block); }
 
  private:
+  bool cached_anywhere(BlockId block) const {
+    std::vector<std::size_t> levels;
+    const std::size_t clients = audit_traits().clients;
+    for (ClientId c = 0; c < clients && levels.empty(); ++c)
+      audit_resident_levels(c, block, levels);
+    return !levels.empty();
+  }
+
   std::vector<AuditEvent>* audit_sink_ = nullptr;
   WritebackSink* journal_ = nullptr;
   FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size

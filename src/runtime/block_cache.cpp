@@ -33,6 +33,7 @@ BlockCache::BlockCache(const BlockCacheConfig& config, NearTier& near,
   ULC_REQUIRE(near.block_size() == config.block_size,
               "near tier block size mismatch");
   arena_.resize(config.block_size * config.memory_blocks);
+  resident_.reserve(config.memory_blocks);
   free_buffers_.reserve(config.memory_blocks);
   for (std::size_t i = config.memory_blocks; i-- > 0;) free_buffers_.push_back(i);
   scratch_.resize(config.block_size);
@@ -91,9 +92,10 @@ void BlockCache::writeback(BlockId block, std::size_t from,
 void BlockCache::handle_demotions(const UlcAccess& outcome) {
   for (const DemoteCmd& d : outcome.demotions) {
     if (d.from == 0) {
-      auto it = resident_.find(d.block);
-      ULC_ENSURE(it != resident_.end(), "demoted block not resident in RAM");
-      const std::byte* data = buffer_data(it->second);
+      const std::size_t* found = resident_.find(d.block);
+      ULC_ENSURE(found != nullptr, "demoted block not resident in RAM");
+      const std::size_t buf = *found;
+      const std::byte* data = buffer_data(buf);
       if (d.to == 1) {
         near_.store(d.block, std::span(data, config_.block_size));
         bump(counters_.demotions);
@@ -105,8 +107,8 @@ void BlockCache::handle_demotions(const UlcAccess& outcome) {
           writeback(d.block, 0, std::span(data, config_.block_size));
         notify(d.block, PlacementEventKind::kDiscard);
       }
-      release_buffer(it->second);
-      resident_.erase(it);
+      release_buffer(buf);
+      resident_.erase(d.block);
     } else {
       // Leaving the near tier; in a two-tier cache that means discard.
       ULC_ENSURE(d.to == kLevelOut, "two-tier cache demotes near-tier blocks out");
@@ -129,15 +131,15 @@ void BlockCache::apply_placement(BlockId block, const UlcAccess& outcome,
                                  std::span<const std::byte> contents,
                                  bool dirtying) {
   if (outcome.placed_level == 0) {
-    auto it = resident_.find(block);
+    const std::size_t* found = resident_.find(block);
     std::size_t buf;
-    if (it == resident_.end()) {
+    if (found == nullptr) {
       buf = acquire_buffer();
-      resident_[block] = buf;
+      resident_.insert_new(block, buf);
       notify(block, outcome.hit_level == 1 ? PlacementEventKind::kPromote
                                            : PlacementEventKind::kStore);
     } else {
-      buf = it->second;
+      buf = *found;
     }
     if (buffer_data(buf) != contents.data())
       std::memcpy(buffer_data(buf), contents.data(), config_.block_size);
@@ -167,7 +169,9 @@ void BlockCache::read(BlockId block, std::span<std::byte> out) {
   const std::byte* source = nullptr;
   if (a.hit_level == 0) {
     bump(counters_.memory_hits);
-    source = buffer_data(resident_.at(block));
+    const std::size_t* buf = resident_.find(block);
+    ULC_ENSURE(buf != nullptr, "engine says RAM hit but the block has no buffer");
+    source = buffer_data(*buf);
   } else if (a.hit_level == 1) {
     bump(counters_.near_hits);
     const bool ok = near_.fetch(block, scratch_);
@@ -206,10 +210,8 @@ void BlockCache::write(BlockId block, std::span<const std::byte> in) {
 }
 
 void BlockCache::write_back_dirty_locked(BlockId block) {
-  auto it = resident_.find(block);
-  if (it != resident_.end()) {
-    writeback(block, 0,
-              std::span(buffer_data(it->second), config_.block_size));
+  if (const std::size_t* buf = resident_.find(block)) {
+    writeback(block, 0, std::span(buffer_data(*buf), config_.block_size));
   } else {
     near_.pin(block);
     const bool ok = near_.fetch(block, scratch_);
@@ -258,7 +260,7 @@ BlockCacheStats BlockCache::stats() const {
 
 bool BlockCache::resident_in_memory(BlockId block) const {
   std::lock_guard<std::mutex> guard(lock_);
-  return resident_.count(block) != 0;
+  return resident_.contains(block);
 }
 
 }  // namespace ulc

@@ -22,13 +22,13 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "runtime/tier.h"
 #include "ulc/ulc_client.h"
 #include "ulc/writeback.h"
+#include "util/flat_hash.h"
 
 namespace ulc {
 
@@ -160,8 +160,10 @@ class BlockCache {
   UlcClient engine_;
   std::vector<std::byte> arena_;
   std::vector<std::size_t> free_buffers_;
-  std::unordered_map<BlockId, std::size_t> resident_;  // block -> buffer index
-  std::unordered_set<BlockId> dirty_;  // dirty wherever the block now lives
+  FlatMap<BlockId, std::size_t> resident_;  // block -> buffer index
+  // Dirty wherever the block now lives. Node-based because flush() and
+  // dirty_blocks() iterate it (FlatMap has no iteration API); both sort.
+  std::unordered_set<BlockId> dirty_;  // ulc-lint: allow(hot-container)
   std::vector<std::byte> scratch_;
   std::vector<std::byte> scratch2_;  // demotion-path IO (keeps scratch_ valid)
   WritebackSink* journal_ = nullptr;

@@ -53,17 +53,19 @@ void run_worker(const LoadGenConfig& config, ServingRuntime& runtime,
   std::vector<std::byte> buf(block_size);
 
   for (std::uint64_t i = 0; i < n_requests; ++i) {
-    double start = timer.elapsed_seconds();
-    if (config.rate > 0.0) {
-      // Open loop: request i is due at i/rate regardless of how the server
-      // is keeping up; lateness is part of the measured latency.
-      const double scheduled = static_cast<double>(i) / config.rate;
+    const bool open_loop = config.rate > 0.0;
+    // Open loop: request i is due at i/rate regardless of how the server is
+    // keeping up; lateness is part of the measured latency.
+    const double scheduled = open_loop ? static_cast<double>(i) / config.rate : 0.0;
+    if (open_loop)
       while (timer.elapsed_seconds() < scheduled) std::this_thread::yield();
-      start = scheduled;
-    }
     const BlockId block = source->next(rng);
-    if (rng.next_bool(config.write_frac)) {
-      fill_block(buf, block, /*salt=*/i);
+    const bool write = rng.next_bool(config.write_frac);
+    if (write) fill_block(buf, block, /*salt=*/i);
+    // Closed loop times the runtime call alone: the Zipf draw and the
+    // payload fill above are the client's work, not server latency.
+    const double start = open_loop ? scheduled : timer.elapsed_seconds();
+    if (write) {
       runtime.write(block, buf);
       ++out.writes;
     } else {

@@ -7,7 +7,9 @@
 //
 //   rate == 0  closed-loop saturation: each thread issues its next request
 //              the moment the previous one completes. This is the
-//              throughput-measuring mode (BENCH_serving.json).
+//              throughput-measuring mode (BENCH_serving.json); latency
+//              times the runtime call alone, after the request is drawn
+//              and its payload filled.
 //   rate > 0   open-loop: each thread schedules request i at i/rate seconds
 //              and latency is measured from the *scheduled* start, so queue
 //              delay from a lagging server shows up in the percentiles

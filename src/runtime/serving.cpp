@@ -27,13 +27,8 @@ std::size_t DirectoryServer::shard_of(BlockId block) const {
 }
 
 void DirectoryServer::on_placement(const PlacementEvent& event) {
-  ServerShard& shard = *shards_[shard_of(event.block)];
-  // Count the post before pushing so drain() never observes applied > posted
-  // settle below a concurrent post it raced with; a rejected push (stopped
-  // server) takes the count back.
-  shard.posted.fetch_add(1, std::memory_order_relaxed);
-  if (!shard.queue.push(event))
-    shard.posted.fetch_sub(1, std::memory_order_relaxed);
+  // A push rejected by a stopped server drops the event.
+  shards_[shard_of(event.block)]->queue.push(event);
 }
 
 void DirectoryServer::run_worker(ServerShard& shard) {
@@ -77,7 +72,11 @@ void DirectoryServer::apply(ServerShard& shard, const PlacementEvent& event) {
 
 void DirectoryServer::drain() {
   for (auto& shard : shards_) {
-    const std::uint64_t target = shard->posted.load(std::memory_order_relaxed);
+    // Every event the queue has counted is queued or already taken, so one
+    // wake() delivers the backlog below the wake mark (producers signal the
+    // worker only at the mark).
+    const std::uint64_t target = shard->queue.stats().enqueued;
+    shard->queue.wake();
     std::unique_lock<std::mutex> lock(shard->lock);
     shard->applied_cv.wait(lock, [&] { return shard->stats.applied >= target; });
   }

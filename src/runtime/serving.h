@@ -17,7 +17,10 @@
 // arrive after the cache has already acted, so the directory approximates
 // the cache population (a real deployment would use it to route peer
 // lookups). The queues are bounded — a client that outruns the directory
-// blocks in push(), which is the backpressure contract.
+// blocks in push(), which is the backpressure contract. Producers wake a
+// shard's worker only when its queue reaches the wake mark (util/mpsc.h:
+// capacity / 8, 512 events at the default 4096), so until drain() a shard's
+// view may lag the cache by fewer than one mark of events.
 //
 // Determinism is per-queue: each cache shard emits its events in lock order,
 // and when directory_shards == cache_shards every queue has exactly one
@@ -86,8 +89,9 @@ class DirectoryServer final : public PlacementListener {
   // drops the event once the server is stopped.
   void on_placement(const PlacementEvent& event) override;
 
-  // Waits until every event posted so far has been applied. Meaningful once
-  // producers are quiescent (a racing producer can post more afterwards).
+  // Wakes every worker and waits until every event posted so far (pushes
+  // that returned before the call) has been applied. A racing producer can
+  // post more afterwards; those are not waited for.
   void drain();
 
   // Closes the queues, lets the workers drain what is queued, joins them.
@@ -109,7 +113,6 @@ class DirectoryServer final : public PlacementListener {
         : queue(config.queue_capacity), directory(config.capacity) {}
 
     BoundedMpsc<PlacementEvent> queue;
-    std::atomic<std::uint64_t> posted{0};
 
     mutable std::mutex lock;  // guards directory + stats below
     std::condition_variable applied_cv;

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "util/ensure.h"
@@ -15,77 +14,136 @@ void NearTier::evict(BlockId block) {
   do_evict(block);
 }
 
-void NearTier::pin(BlockId block) { ++pins_[block]; }
+void NearTier::pin(BlockId block) {
+  if (std::uint32_t* n = pins_.find(block)) {
+    ++*n;
+  } else {
+    pins_.insert_new(block, 1);
+  }
+}
 
 void NearTier::unpin(BlockId block) {
-  auto it = pins_.find(block);
-  ULC_REQUIRE(it != pins_.end(), "unpin of a block that holds no pin");
-  if (--it->second == 0) pins_.erase(it);
+  std::uint32_t* n = pins_.find(block);
+  ULC_REQUIRE(n != nullptr, "unpin of a block that holds no pin");
+  if (--*n == 0) pins_.erase(block);
 }
 
 std::uint32_t NearTier::pin_count(BlockId block) const {
-  auto it = pins_.find(block);
-  return it == pins_.end() ? 0 : it->second;
+  const std::uint32_t* n = pins_.find(block);
+  return n == nullptr ? 0 : *n;
 }
 
 namespace {
 
+// Uninitialized bytes: untouched slots cost address space, not memory.
+std::unique_ptr<std::byte[]> slab_bytes(std::size_t n) {
+  return std::make_unique_for_overwrite<std::byte[]>(n);
+}
+
+// One arena of capacity + 1 block slots (the most the placement engine may
+// ever make the tier hold), a block -> slot map and a stack of free slot
+// indices — the ucache shape: a store into a fresh slot pops the stack, an
+// evict pushes the slot back, neither allocates.
 class MemoryNearTier final : public NearTier {
  public:
   MemoryNearTier(std::size_t capacity, std::size_t block_size)
-      : capacity_(capacity), block_size_(block_size) {}
+      : capacity_(capacity),
+        block_size_(block_size),
+        arena_(slab_bytes((capacity + 1) * block_size)) {
+    slot_of_.reserve(capacity + 1);
+    free_.reserve(capacity + 1);
+    // Lowest slots on top, so a tier that never fills touches a prefix.
+    for (std::size_t i = capacity + 1; i-- > 0;) free_.push_back(i);
+  }
 
   bool fetch(BlockId block, std::span<std::byte> out) override {
     ULC_REQUIRE(out.size() >= block_size_, "fetch buffer too small");
-    auto it = store_.find(block);
-    if (it == store_.end()) return false;
-    std::memcpy(out.data(), it->second.data(), block_size_);
+    const std::size_t* slot = slot_of_.find(block);
+    if (slot == nullptr) return false;
+    std::memcpy(out.data(), slot_data(*slot), block_size_);
     return true;
   }
 
   void store(BlockId block, std::span<const std::byte> data) override {
     ULC_REQUIRE(data.size() >= block_size_, "store buffer too small");
-    auto& slot = store_[block];
-    slot.assign(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(block_size_));
-    ULC_ENSURE(store_.size() <= capacity_ + 1,
-               "near tier overfilled: the placement engine must bound it");
+    const std::size_t* found = slot_of_.find(block);
+    std::size_t slot;
+    if (found != nullptr) {
+      slot = *found;  // overwrite in place
+    } else {
+      // Always on: past the arena's last slot a store would corrupt memory.
+      ULC_REQUIRE(!free_.empty(),
+                  "near tier overfilled: the placement engine must bound it");
+      slot = free_.back();
+      free_.pop_back();
+      slot_of_.insert_new(block, slot);
+    }
+    std::memcpy(slot_data(slot), data.data(), block_size_);
   }
 
   std::size_t capacity_blocks() const override { return capacity_; }
   std::size_t block_size() const override { return block_size_; }
 
  protected:
-  void do_evict(BlockId block) override { store_.erase(block); }
+  void do_evict(BlockId block) override {
+    const std::size_t* slot = slot_of_.find(block);
+    if (slot == nullptr) return;
+    free_.push_back(*slot);
+    slot_of_.erase(block);
+  }
 
  private:
+  std::byte* slot_data(std::size_t slot) { return arena_.get() + slot * block_size_; }
+
   std::size_t capacity_;
   std::size_t block_size_;
-  std::unordered_map<BlockId, std::vector<std::byte>> store_;
+  std::unique_ptr<std::byte[]> arena_;
+  FlatMap<BlockId, std::size_t> slot_of_;
+  std::vector<std::size_t> free_;  // vacant slot indices (a stack)
 };
 
+// Blocks are never removed from the origin, so its slots only grow: slot s
+// lives in chunk s / kChunkBlocks. A first write takes the next slot (and a
+// fresh chunk every kChunkBlocks writes); rewrites copy in place.
 class MemoryOrigin final : public Origin {
  public:
   explicit MemoryOrigin(std::size_t block_size) : block_size_(block_size) {}
 
   void read(BlockId block, std::span<std::byte> out) override {
     ULC_REQUIRE(out.size() >= block_size_, "read buffer too small");
-    auto it = store_.find(block);
-    if (it == store_.end()) {
+    const std::size_t* slot = slot_of_.find(block);
+    if (slot == nullptr) {
       std::memset(out.data(), 0, block_size_);
       return;
     }
-    std::memcpy(out.data(), it->second.data(), block_size_);
+    std::memcpy(out.data(), slot_data(*slot), block_size_);
   }
 
   void write(BlockId block, std::span<const std::byte> data) override {
     ULC_REQUIRE(data.size() >= block_size_, "write buffer too small");
-    auto& slot = store_[block];
-    slot.assign(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(block_size_));
+    const std::size_t* found = slot_of_.find(block);
+    std::size_t slot;
+    if (found != nullptr) {
+      slot = *found;
+    } else {
+      slot = slots_++;
+      if (slot % kChunkBlocks == 0) chunks_.push_back(slab_bytes(kChunkBlocks * block_size_));
+      slot_of_.insert_new(block, slot);
+    }
+    std::memcpy(slot_data(slot), data.data(), block_size_);
   }
 
  private:
+  static constexpr std::size_t kChunkBlocks = 256;
+
+  std::byte* slot_data(std::size_t slot) {
+    return chunks_[slot / kChunkBlocks].get() + (slot % kChunkBlocks) * block_size_;
+  }
+
   std::size_t block_size_;
-  std::unordered_map<BlockId, std::vector<std::byte>> store_;
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  FlatMap<BlockId, std::size_t> slot_of_;
+  std::size_t slots_ = 0;  // slots handed out so far
 };
 
 struct FileCloser {
@@ -112,25 +170,25 @@ class FileNearTier final : public NearTier {
 
   bool fetch(BlockId block, std::span<std::byte> out) override {
     ULC_REQUIRE(out.size() >= block_size_, "fetch buffer too small");
-    auto it = slots_.find(block);
-    if (it == slots_.end()) return false;
-    read_slot(it->second, out);
+    const std::size_t* slot = slots_.find(block);
+    if (slot == nullptr) return false;
+    read_slot(*slot, out);
     return true;
   }
 
   void store(BlockId block, std::span<const std::byte> data) override {
     ULC_REQUIRE(data.size() >= block_size_, "store buffer too small");
+    const std::size_t* found = slots_.find(block);
     std::size_t slot;
-    auto it = slots_.find(block);
-    if (it != slots_.end()) {
-      slot = it->second;
+    if (found != nullptr) {
+      slot = *found;
     } else if (!free_slots_.empty()) {
       slot = free_slots_.back();
       free_slots_.pop_back();
-      slots_[block] = slot;
+      slots_.insert_new(block, slot);
     } else {
       slot = next_slot_++;
-      slots_[block] = slot;
+      slots_.insert_new(block, slot);
     }
     const long off = static_cast<long>(slot * block_size_);
     ULC_REQUIRE(std::fseek(file_.get(), off, SEEK_SET) == 0, "tier seek failed");
@@ -143,10 +201,10 @@ class FileNearTier final : public NearTier {
 
  protected:
   void do_evict(BlockId block) override {
-    auto it = slots_.find(block);
-    if (it == slots_.end()) return;
-    free_slots_.push_back(it->second);
-    slots_.erase(it);
+    const std::size_t* slot = slots_.find(block);
+    if (slot == nullptr) return;
+    free_slots_.push_back(*slot);
+    slots_.erase(block);
   }
 
  private:
@@ -160,7 +218,7 @@ class FileNearTier final : public NearTier {
   FilePtr file_;
   std::size_t capacity_;
   std::size_t block_size_;
-  std::unordered_map<BlockId, std::size_t> slots_;
+  FlatMap<BlockId, std::size_t> slots_;
   std::vector<std::size_t> free_slots_;
   std::size_t next_slot_ = 0;
 };

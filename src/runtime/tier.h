@@ -12,9 +12,9 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 
 #include "trace/types.h"
+#include "util/flat_hash.h"
 
 namespace ulc {
 
@@ -50,7 +50,7 @@ class NearTier {
   virtual void do_evict(BlockId block) = 0;
 
  private:
-  std::unordered_map<BlockId, std::uint32_t> pins_;
+  FlatMap<BlockId, std::uint32_t> pins_;  // pinned block -> pin count
 };
 
 // The authoritative backing store.
@@ -63,7 +63,10 @@ class Origin {
   virtual void write(BlockId block, std::span<const std::byte> data) = 0;
 };
 
-// RAM-backed implementations (tests, small data sets).
+// RAM-backed implementations (tests, small data sets). Both are slabs: the
+// near tier preallocates capacity + 1 block slots and maps block -> slot,
+// the origin appends slots in fixed-size chunks, so a store allocates
+// nothing once its slot exists and an evict frees nothing.
 std::unique_ptr<NearTier> make_memory_near_tier(std::size_t capacity_blocks,
                                                 std::size_t block_size = 8192);
 std::unique_ptr<Origin> make_memory_origin(std::size_t block_size = 8192);

@@ -340,6 +340,8 @@ TEST(Rules, HotContainerFiresInHotDirectories) {
                     R"__(std::unordered_map<int, int> m;)__", "hot-container"));
   EXPECT_TRUE(fires("src/ulc/a.cpp", R"__(std::list<int> l;)__",
                     "hot-container"));
+  EXPECT_TRUE(fires("src/runtime/a.cpp",
+                    R"__(std::unordered_set<BlockId> dirty_;)__", "hot-container"));
 }
 
 TEST(Rules, HotContainerCleanOutsideAndForFlatStructures) {

@@ -79,6 +79,98 @@ TEST(Tiers, MemoryOriginZeroFills) {
   for (std::byte b : out) EXPECT_EQ(b, std::byte{0});
 }
 
+// The slab near tier: store/evict churn over ten times its capacity against
+// a reference map. Every resident block reads back byte-exact, evicted ones
+// read as absent, and overwrites reuse the block's slot (a fresh slot per
+// overwrite would run the capacity + 1 arena dry and abort).
+TEST(Tiers, MemoryNearTierKeepsBytesExactThroughChurn) {
+  constexpr std::size_t kCap = 16;
+  auto tier = make_memory_near_tier(kCap, kBlock);
+  std::map<BlockId, std::uint64_t> ref;  // resident block -> version stored
+  Rng rng(11);
+  std::uint64_t version = 0, stores = 0;
+  std::vector<std::byte> out(kBlock);
+  auto check = [&](BlockId b) {
+    const auto it = ref.find(b);
+    if (it == ref.end()) {
+      EXPECT_FALSE(tier->fetch(b, out)) << b;
+      return;
+    }
+    ASSERT_TRUE(tier->fetch(b, out)) << b;
+    const auto want = pattern(b, it->second);
+    ASSERT_EQ(std::memcmp(out.data(), want.data(), kBlock), 0) << b;
+  };
+  while (stores < 80 * kCap) {  // well past ten times the capacity
+    const BlockId b = rng.next_below(64);
+    if (ref.count(b) == 0 && ref.size() == kCap + 1) {
+      const BlockId victim = ref.begin()->first;  // make room
+      tier->evict(victim);
+      ref.erase(victim);
+      check(victim);
+    }
+    if (rng.next_bool(0.25) && ref.count(b) != 0) {
+      tier->evict(b);
+      ref.erase(b);
+    } else {
+      tier->store(b, pattern(b, ++version));
+      ref[b] = version;
+      ++stores;
+    }
+    check(b);
+  }
+  for (BlockId b = 0; b < 64; ++b) check(b);
+  // Full tier: rewriting every resident block many times stays in place.
+  while (ref.size() < kCap + 1) {
+    const BlockId b = 100 + ref.size();
+    tier->store(b, pattern(b, ++version));
+    ref[b] = version;
+  }
+  for (int round = 0; round < 10; ++round) {
+    for (auto& [b, v] : ref) {
+      v = ++version;
+      tier->store(b, pattern(b, v));
+    }
+  }
+  for (const auto& [b, v] : ref) check(b);
+}
+
+TEST(TierDeathTest, MemoryNearTierRefusesABlockPastItsArena) {
+  auto tier = make_memory_near_tier(2, kBlock);
+  for (BlockId b = 0; b < 3; ++b) tier->store(b, pattern(b, 1));  // capacity + 1
+  EXPECT_DEATH(tier->store(3, pattern(3, 1)), "overfilled");
+}
+
+// The chunked origin: unwritten blocks read as zeroes, and blocks written
+// across several 256-block chunks (in scattered order, with rewrites) read
+// back exactly.
+TEST(Tiers, MemoryOriginIsExactAcrossChunkBoundaries) {
+  auto origin = make_memory_origin(kBlock);
+  std::map<BlockId, std::uint64_t> ref;
+  std::uint64_t version = 0;
+  for (BlockId i = 0; i < 700; ++i) {
+    const BlockId b = (i * 7919) % 2000;  // scattered ids, written once each
+    origin->write(b, pattern(b, ++version));
+    ref[b] = version;
+  }
+  for (BlockId b = 0; b < 2000; b += 3) {  // rewrite a third in place
+    if (ref.count(b) == 0) continue;
+    origin->write(b, pattern(b, ++version));
+    ref[b] = version;
+  }
+  std::vector<std::byte> out(kBlock);
+  for (BlockId b = 0; b < 2100; ++b) {
+    std::fill(out.begin(), out.end(), std::byte{0xff});
+    origin->read(b, out);
+    const auto it = ref.find(b);
+    if (it == ref.end()) {
+      for (std::byte byte : out) ASSERT_EQ(byte, std::byte{0}) << b;
+    } else {
+      const auto want = pattern(b, it->second);
+      ASSERT_EQ(std::memcmp(out.data(), want.data(), kBlock), 0) << b;
+    }
+  }
+}
+
 TEST(Tiers, FileTiersRoundTrip) {
   const std::string near_path = ::testing::TempDir() + "/ulc_near.img";
   const std::string origin_path = ::testing::TempDir() + "/ulc_origin.img";

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -101,7 +102,89 @@ TEST(BoundedMpsc, CloseDrainsThenSignalsExit) {
   EXPECT_TRUE(q.closed());
 }
 
+TEST(BoundedMpsc, WakeMarkIsAnEighthOfCapacity) {
+  EXPECT_EQ(BoundedMpsc<int>(4096).wake_mark(), 512u);
+  EXPECT_EQ(BoundedMpsc<int>(64).wake_mark(), 8u);
+  EXPECT_EQ(BoundedMpsc<int>(15).wake_mark(), 1u);
+  EXPECT_EQ(BoundedMpsc<int>(1).wake_mark(), 1u);
+}
+
+TEST(BoundedMpsc, OnlyThePushReachingTheMarkSignals) {
+  BoundedMpsc<int> q(64);  // wake mark 8
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.push(i));
+  EXPECT_EQ(q.stats().wake_signals, 0u);
+  ASSERT_TRUE(q.push(7));
+  EXPECT_EQ(q.stats().wake_signals, 1u);
+  for (int i = 8; i < 20; ++i) ASSERT_TRUE(q.push(i));
+  EXPECT_EQ(q.stats().wake_signals, 1u);  // deeper pushes find it signalled
+  std::vector<int> batch;
+  ASSERT_EQ(q.pop_wait(batch), 20u);      // items queued: no sleep
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(batch[i], i);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(q.try_push(i));
+  EXPECT_EQ(q.stats().wake_signals, 2u);  // the next batch signals once
+}
+
+TEST(BoundedMpsc, RingWrapsAroundInFifoOrder) {
+  BoundedMpsc<int> q(5);
+  std::vector<int> got, batch;
+  int next = 0;
+  for (int round = 0; round < 7; ++round) {
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.push(next++));
+    ASSERT_EQ(q.pop_wait(batch), 3u);
+    got.insert(got.end(), batch.begin(), batch.end());
+  }
+  for (int i = 0; i < next; ++i) EXPECT_EQ(got[i], i);
+}
+
+// A consumer asleep with fewer items queued than the wake mark is released
+// by wake() (and by close(), below): no producer signal is ever sent.
+TEST(BoundedMpsc, WakeReleasesAConsumerBelowTheMark) {
+  BoundedMpsc<int> q(4096);  // wake mark 512
+  std::vector<int> got;
+  std::thread consumer([&] {
+    std::vector<int> batch;
+    while (got.size() < 3) {
+      ASSERT_GT(q.pop_wait(batch), 0u);
+      got.insert(got.end(), batch.begin(), batch.end());
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it sleep
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.push(i));
+  EXPECT_EQ(q.stats().wake_signals, 0u);
+  q.wake();
+  consumer.join();
+  ASSERT_EQ(got.size(), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(got[i], i);
+  EXPECT_FALSE(q.closed());
+}
+
+TEST(BoundedMpsc, CloseReleasesAConsumerBelowTheMark) {
+  BoundedMpsc<int> q(4096);
+  std::vector<int> got;
+  std::thread consumer([&] {
+    std::vector<int> batch;
+    while (q.pop_wait(batch) > 0) got.insert(got.end(), batch.begin(), batch.end());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.push(i));
+  q.close();
+  consumer.join();
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(q.stats().wake_signals, 0u);
+  EXPECT_EQ(q.stats().dequeued, 3u);
+}
+
 // ---------- DirectoryServer -------------------------------------------------
+
+// No event lost: once drained, every queued event has been applied.
+void expect_every_event_applied(const DirectoryStats& s) {
+  std::uint64_t enqueued = 0;
+  for (const DirectoryShardStats& shard : s.shards) {
+    EXPECT_EQ(shard.applied, shard.queue.enqueued);
+    enqueued += shard.queue.enqueued;
+  }
+  EXPECT_EQ(s.applied(), enqueued);
+}
 
 PlacementEvent ev(BlockId block, std::uint32_t shard, PlacementEventKind kind) {
   return PlacementEvent{block, shard, kind};
@@ -130,6 +213,36 @@ TEST(DirectoryServer, AppliesEventsAndTracksOwnership) {
   EXPECT_EQ(dir.owner_of(7), 3u);
   EXPECT_FALSE(dir.tracks(8));
   EXPECT_EQ(dir.stats().resident(), 99u);
+  expect_every_event_applied(dir.stats());
+}
+
+TEST(DirectoryServer, DrainAfterOneEventAppliesIt) {
+  DirectoryServer dir(DirectoryConfig{});  // wake mark 512: one event never signals
+  dir.on_placement(ev(5, 1, PlacementEventKind::kStore));
+  dir.drain();
+  const DirectoryStats s = dir.stats();
+  EXPECT_EQ(s.applied(), 1u);
+  expect_every_event_applied(s);
+  ASSERT_TRUE(dir.tracks(5));
+  EXPECT_EQ(dir.owner_of(5), 1u);
+}
+
+TEST(DirectoryServer, PushesPastTheMarkAreAppliedWithoutDrain) {
+  DirectoryConfig cfg;
+  cfg.shards = 1;
+  cfg.queue_capacity = 64;  // wake mark 8
+  DirectoryServer dir(cfg);
+  constexpr std::uint64_t kEvents = 100;
+  for (BlockId b = 0; b < kEvents; ++b)
+    dir.on_placement(ev(b, 0, PlacementEventKind::kStore));
+  // Staleness bound: with no drain() the worker still catches up to within
+  // one mark of the producer (fewer than 8 events left waiting).
+  while (dir.stats().applied() + 7 < kEvents) std::this_thread::yield();
+  dir.drain();
+  const DirectoryStats s = dir.stats();
+  EXPECT_EQ(s.applied(), kEvents);
+  expect_every_event_applied(s);
+  EXPECT_GE(s.shards[0].queue.wake_signals, 1u);
 }
 
 TEST(DirectoryServer, CapacityBoundEvictsColdEntries) {
@@ -145,6 +258,7 @@ TEST(DirectoryServer, CapacityBoundEvictsColdEntries) {
   EXPECT_EQ(s.shards[0].evictions, 48u);
   // The most recently directed blocks survive (gLRU order).
   for (BlockId b = 48; b < 64; ++b) EXPECT_TRUE(dir.tracks(b)) << b;
+  expect_every_event_applied(s);
 }
 
 TEST(DirectoryServer, ConcurrentProducersLoseNothing) {
@@ -165,6 +279,7 @@ TEST(DirectoryServer, ConcurrentProducersLoseNothing) {
   for (auto& t : producers) t.join();
   dir.drain();
   EXPECT_EQ(dir.stats().applied(), kProducers * kPerProducer);
+  expect_every_event_applied(dir.stats());
 }
 
 // ---------- ServingRuntime --------------------------------------------------
@@ -195,9 +310,7 @@ TEST(ServingRuntime, DirectoryShadowsTheCachePopulation) {
   ASSERT_NE(runtime.directory(), nullptr);
   const DirectoryStats ds = runtime.directory()->stats();
   // Every cache movement produced exactly one directory event, none lost.
-  std::uint64_t enqueued = 0;
-  for (const DirectoryShardStats& s : ds.shards) enqueued += s.queue.enqueued;
-  EXPECT_EQ(ds.applied(), enqueued);
+  expect_every_event_applied(ds);
   EXPECT_GT(ds.applied(), 0u);
   // The hot tail was just written/read: the directory must be tracking it,
   // owned by the cache shard the router names.
@@ -263,10 +376,7 @@ TEST(LoadGen, ClosedLoopAccountsEveryRequest) {
     EXPECT_GT(r.requests_per_sec, 0.0) << workload;
     EXPECT_GT(r.writes, 0u) << workload;
     // The directory consumed every event the cache emitted.
-    std::uint64_t enqueued = 0;
-    for (const DirectoryShardStats& s : r.directory.shards)
-      enqueued += s.queue.enqueued;
-    EXPECT_EQ(r.directory.applied(), enqueued) << workload;
+    expect_every_event_applied(r.directory);
     EXPECT_GT(r.directory.applied(), 0u) << workload;
   }
 }
